@@ -112,7 +112,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 
-# CI gate: formatting, static analysis, race-sensitive packages (the
+# CI gate: formatting, static analysis, the end-to-end benchmark module
+# (its own go.mod, so `./...` at the root never builds it: vetting and
+# testing it here catches a core API change that breaks its replay),
+# race-sensitive packages (the
 # scenario tier carries the replication worker-count parity tests, the
 # obs tier the tracer/registry concurrency tests, the shard tier the
 # lease/claim races), the chaos suite (fault-injected sharded sweeps
@@ -126,6 +129,8 @@ check:
 	fi
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/measure/ ./internal/obs/ ./internal/shard/ ./internal/faults/
 	$(MAKE) chaos
 	$(MAKE) bench-smoke

@@ -119,18 +119,22 @@ func run(args []string) error {
 			a.Sess.Report.SetExtra("fig"+f.id, series)
 			a.Sess.Report.SetMetric("fig"+f.id+"_series", float64(len(series)))
 			fmt.Printf("\n%s   (computed in %v)\n\n", f.title, time.Since(start).Round(time.Millisecond))
-			if err := plot.Table(os.Stdout, f.xlabel, series...); err != nil {
-				return err
-			}
-			fmt.Println()
-			if err := plot.ASCII(os.Stdout, plot.Options{
-				XLabel: f.xlabel,
-				YLabel: "delay bound [ms]",
-				LogY:   f.logY,
-				Width:  84,
-				Height: 24,
-			}, series...); err != nil {
-				return err
+			// Without the analytic backend every bound is NaN: there is no
+			// table or chart to draw, only the simulator cross-check.
+			if a.Backend.Has(scenario.Analytic) {
+				if err := plot.Table(os.Stdout, f.xlabel, series...); err != nil {
+					return err
+				}
+				fmt.Println()
+				if err := plot.ASCII(os.Stdout, plot.Options{
+					XLabel: f.xlabel,
+					YLabel: "delay bound [ms]",
+					LogY:   f.logY,
+					Width:  84,
+					Height: 24,
+				}, series...); err != nil {
+					return err
+				}
 			}
 			if a.Backend.Has(scenario.Sim) {
 				printSimCheck(pts, rs, *simeps)

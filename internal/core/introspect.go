@@ -29,7 +29,7 @@ type OptProbe struct {
 	AlphaSweeps      *obs.Counter // OptimizeAlphaFunc sweeps
 	AlphaProbes      *obs.Counter // α evaluations priced (memo misses)
 	AlphaMemoHits    *obs.Counter // α re-probes served from the sweep memo
-	EDFBisections    *obs.Counter // EDF fixed-point bisection iterations
+	EDFBisections    *obs.Counter // EDF fixed-point evaluations of f
 	AdditiveProbes   *obs.Counter // additive-analysis γ evaluations
 }
 

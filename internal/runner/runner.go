@@ -35,7 +35,7 @@ func optimizerProbe() *core.OptProbe {
 		AlphaSweeps:      r.Counter("core_alpha_sweeps_total", "alpha (EBB decay) optimization sweeps", nil),
 		AlphaProbes:      r.Counter("core_alpha_probes_total", "alpha evaluations priced (memo misses)", nil),
 		AlphaMemoHits:    r.Counter("core_alpha_memo_hits_total", "alpha re-probes served from the sweep memo", nil),
-		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point bisection iterations", nil),
+		EDFBisections:    r.Counter("core_edf_bisections_total", "EDF fixed-point evaluations of f", nil),
 		AdditiveProbes:   r.Counter("core_additive_probes_total", "additive-analysis gamma evaluations", nil),
 	}
 }
