@@ -29,14 +29,22 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Record the benchmark trajectory: run the suite and write BENCH_PR10.json
-# with ns/op, B/op, allocs/op, custom metrics, and the git SHA, diffed
-# against the committed PR 9 baseline (-before). Three repetitions per
-# benchmark, recording the fastest — min-of-runs is the noise-robust
-# estimator on a shared box. See DESIGN.md's Performance section for
-# how to read the trajectory files.
+# Record the benchmark trajectory: `make bench-json PR=<n>` runs the
+# suite and writes BENCH_PR<n>.json with ns/op, B/op, allocs/op, custom
+# metrics, and the git SHA, diffed against BEFORE (default: the newest
+# BENCH_PR*.json already in the tree). It refuses to overwrite an
+# existing record. Three repetitions per benchmark, recording the
+# fastest — min-of-runs is the noise-robust estimator on a shared box.
+# See DESIGN.md's Performance section for how to read the trajectory
+# files.
+BEFORE ?= $(lastword $(shell ls BENCH_PR*.json 2>/dev/null | sort -V))
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -before BENCH_PR9.json -count 3
+	@if [ -z "$(PR)" ]; then echo "bench-json: set PR=<number> to name the record BENCH_PR<number>.json"; exit 1; fi; \
+	out=BENCH_PR$(PR).json; \
+	if [ -e "$$out" ]; then echo "bench-json: $$out exists; refusing to overwrite it"; exit 1; fi; \
+	before="$(BEFORE)"; \
+	echo "benchjson -out $$out $${before:+-before $$before} -count 3"; \
+	$(GO) run ./cmd/benchjson -out "$$out" $${before:+-before "$$before"} -count 3
 
 # Regression gate over the committed trajectory: fail when the newest
 # BENCH_PR*.json regressed past 15% in ns/op or allocs/op against its
@@ -105,12 +113,14 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzzing passes over the numeric kernels (one -fuzz target per
-# invocation is a Go toolchain restriction).
+# Short fuzzing passes over the numeric kernels and the batched MMOO
+# bank fill (one -fuzz target per invocation is a Go toolchain
+# restriction).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInnerMinimize -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
+	$(GO) test -run='^$$' -fuzz=FuzzBankFill -fuzztime=10s ./internal/traffic/
 
 # CI gate: formatting, static analysis, the end-to-end benchmark module
 # (its own go.mod, so `./...` at the root never builds it: vetting and

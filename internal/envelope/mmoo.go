@@ -32,7 +32,7 @@ func (m MMOO) Validate() error {
 	if m.Peak <= 0 || math.IsNaN(m.Peak) || math.IsInf(m.Peak, 0) {
 		return fmt.Errorf("envelope: MMOO peak must be positive, got %g", m.Peak)
 	}
-	if m.P11 < 0 || m.P11 > 1 || m.P22 < 0 || m.P22 > 1 {
+	if !(m.P11 >= 0 && m.P11 <= 1 && m.P22 >= 0 && m.P22 <= 1) { // also rejects NaN
 		return fmt.Errorf("envelope: MMOO probabilities out of [0,1]: P11=%g, P22=%g", m.P11, m.P22)
 	}
 	if p12, p21 := 1-m.P11, 1-m.P22; p12+p21 > 1+1e-12 {

@@ -29,7 +29,7 @@ func TestFastRNGStreamParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fastThrough.mm == nil {
+		if fastThrough.bank == nil {
 			t.Fatal("aggregate on *randx.Rand did not take the devirtualized bank path")
 		}
 		legacySingle, err := NewMMOO(m, legacyRNG)

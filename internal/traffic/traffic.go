@@ -16,11 +16,6 @@ import (
 	"deltasched/internal/randx"
 )
 
-// inv63 is the exact power-of-two reciprocal 2⁻⁶³ used by the
-// hand-inlined uniform draw in nextBank — the same scaling constant
-// randx.(*Rand).Float64 multiplies by.
-const inv63 = 1.0 / (1 << 63)
-
 // Source generates per-slot arrivals.
 type Source interface {
 	// Next returns the amount of data arriving in the current slot and
@@ -168,55 +163,46 @@ func (s CBR) NextBlock(dst []float64) {
 // the through- or cross-traffic aggregates of the paper's Fig. 1).
 type Aggregate struct {
 	sources []Source
-	// mm is the devirtualized member bank, non-nil when every member is
-	// an *MMOO on the concrete fast RNG: the common simulator wiring,
-	// where the per-slot sum can skip both the Source dispatch and the
-	// Uniform dispatch entirely.
-	mm []*MMOO
-	// uniform marks a bank whose members all share one RNG and one model
-	// (NewMMOOAggregate's wiring): the per-slot sum then keeps the RNG
-	// pointer and the three model constants in registers, and steps the
-	// packed `on` flags instead of chasing a pointer per member — four
-	// cache lines of mutable state for the paper's 210 flows. The member
-	// structs are not advanced on this path, so a source handed to
-	// NewAggregate must afterwards be driven only through the aggregate.
-	uniform bool
-	bankR   *randx.Rand
-	bankM   envelope.MMOO
-	on      []bool
+	// bank is non-nil when every member is an *MMOO with one model on
+	// this one concrete RNG (NewMMOOAggregate's wiring). The slot then
+	// steps the members' states as packed 0/1 flags in a single
+	// randx.(*Rand).StepOnOff walk, with the model's float transition
+	// probabilities turned into exact integer cuts. The member structs
+	// are not advanced on this path, so a source handed to NewAggregate
+	// must afterwards be driven only through the aggregate.
+	bank       *randx.Rand
+	on         []uint8
+	stay, join uint64 // randx.Threshold of P22 and of P11
+	// sums[k] is k Peaks added left to right: the float sum the
+	// per-member += loop produces when k members are ON.
+	sums []float64
 }
 
 // NewAggregate bundles the given sources.
 func NewAggregate(sources ...Source) *Aggregate {
 	a := &Aggregate{sources: sources}
-	if len(sources) > 0 {
-		mm := make([]*MMOO, len(sources))
-		for i, s := range sources {
-			m, ok := s.(*MMOO)
-			if !ok || m.fast == nil {
-				mm = nil
-				break
-			}
-			mm[i] = m
+	if len(sources) == 0 {
+		return a
+	}
+	first, ok := sources[0].(*MMOO)
+	if !ok || first.fast == nil {
+		return a
+	}
+	on := make([]uint8, len(sources))
+	for i, s := range sources {
+		m, ok := s.(*MMOO)
+		if !ok || m.fast != first.fast || m.model != first.model {
+			return a
 		}
-		a.mm = mm
-		if mm != nil {
-			a.uniform = true
-			a.bankR = mm[0].fast
-			a.bankM = mm[0].model
-			for _, m := range mm {
-				if m.fast != a.bankR || m.model != a.bankM {
-					a.uniform = false
-					break
-				}
-			}
-			if a.uniform {
-				a.on = make([]bool, len(mm))
-				for i, m := range mm {
-					a.on[i] = m.on
-				}
-			}
+		if m.on {
+			on[i] = 1
 		}
+	}
+	a.bank, a.on = first.fast, on
+	a.stay, a.join = randx.Threshold(first.model.P22), randx.Threshold(first.model.P11)
+	a.sums = make([]float64, len(sources)+1)
+	for k := 1; k < len(a.sums); k++ {
+		a.sums[k] = a.sums[k-1] + first.model.Peak
 	}
 	return a
 }
@@ -239,7 +225,7 @@ func NewMMOOAggregate(m envelope.MMOO, n int, rng randx.Uniform) (*Aggregate, er
 
 // Next implements Source.
 func (a *Aggregate) Next() float64 {
-	if a.mm != nil {
+	if a.bank != nil {
 		return a.nextBank()
 	}
 	total := 0.0
@@ -249,58 +235,18 @@ func (a *Aggregate) Next() float64 {
 	return total
 }
 
-// nextBank sums the all-MMOO member bank with concrete calls only. The
-// members' draws happen in the same order as the generic loop, and
-// skipping the += for OFF members does not change the float sum (adding
-// +0.0 is an identity on every non-negative accumulator). On a uniform
-// bank the shared RNG and model constants are hoisted out of the loop —
-// the same comparisons against the same values, one member flag load
-// per flow.
+// nextBank is the generic loop on a bank: each member draws once in
+// member order, as MMOO.Next does, and the ON members' Peaks are summed
+// left to right (adding an OFF member's +0.0 is an identity).
 func (a *Aggregate) nextBank() float64 {
-	total := 0.0
-	if a.uniform {
-		r := a.bankR
-		peak, p22, p11 := a.bankM.Peak, a.bankM.P22, a.bankM.P11
-		on := a.on
-		for i, o := range on {
-			// Hand-inlined randx.(*Rand).Float64: the redraw loop keeps
-			// Float64 itself over the compiler's inline budget, and at one
-			// draw per flow per slot the call is measurable. float64(Int63())
-			// times the exact reciprocal of 2⁶³, redrawn on rounding to 1.0,
-			// is the Go-1 stream bit for bit; TestFastRNGStreamParity pins
-			// this loop against the interface path every run. Each flow
-			// consumes exactly one draw on either branch, so hoisting the
-			// draw above the state test preserves the stream.
-			f := float64(r.Int63()) * inv63
-			for f == 1 {
-				f = float64(r.Int63()) * inv63
-			}
-			if o {
-				total += peak
-				on[i] = f < p22
-			} else {
-				on[i] = f >= p11
-			}
-		}
-		return total
-	}
-	for _, m := range a.mm {
-		r := m.fast
-		if m.on {
-			total += m.model.Peak
-			m.on = r.Float64() < m.model.P22
-		} else {
-			m.on = r.Float64() >= m.model.P11
-		}
-	}
-	return total
+	return a.sums[a.bank.StepOnOff(a.on, a.stay, a.join)]
 }
 
 // NextBlock implements BlockSource. The fill stays slot-major across
 // members: the members share one RNG in the usual wiring, so a
 // member-major fill would reorder the shared stream.
 func (a *Aggregate) NextBlock(dst []float64) {
-	if a.mm != nil {
+	if a.bank != nil {
 		for i := range dst {
 			dst[i] = a.nextBank()
 		}
@@ -572,6 +518,9 @@ func (p *PeriodicOnOff) Next() float64 {
 		return 0
 	}
 	pos := (p.slot + p.Phase) % period
+	if pos < 0 { // Go's % keeps the dividend's sign; a negative Phase counts back
+		pos += period
+	}
 	p.slot++
 	if pos < p.On {
 		return p.Rate

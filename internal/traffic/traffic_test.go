@@ -201,6 +201,15 @@ func TestPeriodicOnOff(t *testing.T) {
 			t.Fatalf("phased slot %d: got %g, want %g", i, got, w)
 		}
 	}
+	// A negative phase counts back into the cycle: Phase −3 on a period
+	// of 4 is Phase 1.
+	neg := &PeriodicOnOff{Rate: 2, On: 2, Off: 2, Phase: -3}
+	want = []float64{2, 0, 0, 2, 2, 0, 0, 2}
+	for i, w := range want {
+		if got := neg.Next(); got != w {
+			t.Fatalf("negative-phase slot %d: got %g, want %g", i, got, w)
+		}
+	}
 	// Degenerate configurations stay silent.
 	if z := (&PeriodicOnOff{Rate: 2}).Next(); z != 0 {
 		t.Fatalf("degenerate source emitted %g", z)
