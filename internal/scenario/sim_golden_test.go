@@ -30,14 +30,18 @@ func TestSimBackendGolden(t *testing.T) {
 		t.Skip("runs quick sim sweeps for three figures")
 	}
 	cases := []struct {
-		fig string
-		cfg Config
+		fig  string
+		cfgs []Config
 	}{
-		{"fig1", Config{"quick": true, "slots": 4000, "seed": 3}},
-		{"fig2", Config{"quick": true, "slots": 4000, "seed": 5}},
+		{"fig1", []Config{{"quick": true, "slots": 4000, "seed": 3}}},
+		{"fig2", []Config{{"quick": true, "slots": 4000, "seed": 5}}},
 		// reps>1 pins the replicated path: SplitMix64 seed streams,
 		// worker-pool fan-out, index-order merge.
-		{"fig3", Config{"quick": true, "slots": 4000, "seed": 7, "reps": 4, "simworkers": 2}},
+		{"fig3", []Config{{"quick": true, "slots": 4000, "seed": 7, "reps": 4, "simworkers": 2}}},
+		// The figures only simulate FIFO rings; these pin the other
+		// serve paths end to end: the non-Δ DRR and GPS, the heap-backed
+		// SP and BMUX, and packetized EDF, under both aggregations.
+		{"tandem", tandemGoldenConfigs()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fig, func(t *testing.T) {
@@ -45,24 +49,26 @@ func TestSimBackendGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pts, err := sc.Points(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var b strings.Builder
 			b.WriteString("point,metric,value\n")
-			for _, pt := range pts {
-				res, err := sc.Evaluate(context.Background(), tc.cfg, pt, Sim)
+			for _, cfg := range tc.cfgs {
+				pts, err := sc.Points(cfg)
 				if err != nil {
-					t.Fatalf("point %s: %v", pt.ID, err)
+					t.Fatal(err)
 				}
-				keys := make([]string, 0, len(res.Sim))
-				for k := range res.Sim {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					fmt.Fprintf(&b, "%s,%s,%s\n", pt.ID, k, hexFloat(res.Sim[k]))
+				for _, pt := range pts {
+					res, err := sc.Evaluate(context.Background(), cfg, pt, Sim)
+					if err != nil {
+						t.Fatalf("point %s: %v", pt.ID, err)
+					}
+					keys := make([]string, 0, len(res.Sim))
+					for k := range res.Sim {
+						keys = append(keys, k)
+					}
+					sort.Strings(keys)
+					for _, k := range keys {
+						fmt.Fprintf(&b, "%s,%s,%s\n", pt.ID, k, hexFloat(res.Sim[k]))
+					}
 				}
 			}
 			got := b.String()
@@ -87,6 +93,28 @@ func TestSimBackendGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tandemGoldenConfigs is the tandem golden matrix: H=4, 4000 slots
+// split over two replications, each discipline under the per-source and
+// the count aggregation. The load (nc=70), the fractional, unequal
+// DRR quanta / GPS weights and the EDF deadlines that favour the cross
+// traffic keep the through delays off zero, so the pinned quantiles
+// tell the disciplines apart. The point ID omits pktsize; packetized
+// EDF is the only EDF entry, so IDs stay unique.
+func tandemGoldenConfigs() []Config {
+	var cfgs []Config
+	for _, sched := range []string{"drr", "gps", "sp", "bmux", "edf"} {
+		for _, agg := range []string{"per-source", "count"} {
+			cfg := Config{"sched": sched, "H": 4, "nc": 70, "slots": 4000, "reps": 2, "simworkers": 2,
+				"seed": int64(11), "agg": agg, "gps-w0": 0.75, "gps-wc": 2.5, "edf-d0": 20.0, "edf-dc": 5.0}
+			if sched == "edf" {
+				cfg["pktsize"] = 1.5
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
 }
 
 // hexFloat renders a float64 exactly (no decimal rounding), with NaN
