@@ -113,14 +113,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzzing passes over the numeric kernels and the batched MMOO
-# bank fill (one -fuzz target per invocation is a Go toolchain
-# restriction).
+# Short fuzzing passes over the numeric kernels, the batched MMOO
+# bank fill and the dense DRR against its map-based oracle (one -fuzz
+# target per invocation is a Go toolchain restriction).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInnerMinimize -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCurveOps -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzPseudoInverse -fuzztime=10s ./internal/minplus/
 	$(GO) test -run='^$$' -fuzz=FuzzBankFill -fuzztime=10s ./internal/traffic/
+	$(GO) test -run='^$$' -fuzz=FuzzDRRServe -fuzztime=10s ./internal/sim/
 
 # CI gate: formatting, static analysis, the end-to-end benchmark module
 # (its own go.mod, so `./...` at the root never builds it: vetting and

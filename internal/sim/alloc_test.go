@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"deltasched/internal/core"
 	"deltasched/internal/measure"
 )
 
@@ -10,12 +11,11 @@ import (
 // run of the given horizon, including source construction (constant per
 // run). Comparing two horizons cancels the constant setup term, leaving
 // the per-slot allocation rate.
-func tandemAllocs(t *testing.T, slots int, sketch bool) float64 {
+func tandemAllocs(t *testing.T, slots int, sketch bool, mk func(int) Scheduler) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
 		through, cross := mkTandemSources(1, 3, 8, 16, false)
-		td := &Tandem{C: 11, Through: through, Cross: cross,
-			MakeSched: func(int) Scheduler { return NewFIFO() }}
+		td := &Tandem{C: 11, Through: through, Cross: cross, MakeSched: mk}
 		var sr *measure.StreamRecorder
 		if sketch {
 			sr = measure.NewStreamRecorder(measure.NewSketch())
@@ -38,19 +38,40 @@ func tandemAllocs(t *testing.T, slots int, sketch bool) float64 {
 // deeper backlog excursions appear as the horizon grows, O(log slots)
 // events in total — so the budget is a small constant, three orders of
 // magnitude below one-alloc-per-slot. Asserted for both measurement
-// sinks: the retained-curve exact recorder and the streaming sketch.
+// sinks (the retained-curve exact recorder and the streaming sketch) on
+// the FIFO ring fast pass, and on the generic pass for the two other
+// schedulers the long-path benchmark runs: DRR, whose per-flow queues
+// grow the same way, and packetized EDF on the heap.
 func TestTandemRunAllocFloor(t *testing.T) {
+	fifo := func(int) Scheduler { return NewFIFO() }
+	drr := func(int) Scheduler {
+		d, err := NewDRR(map[core.FlowID]float64{ThroughFlow: 3, CrossFlow: 6})
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	npEDF := func(int) Scheduler {
+		np, err := NewNonPreemptive(NewEDF(map[core.FlowID]float64{ThroughFlow: 5, CrossFlow: 50}), 1.5)
+		if err != nil {
+			panic(err)
+		}
+		return np
+	}
 	for _, tc := range []struct {
 		name   string
 		sketch bool
+		mk     func(int) Scheduler
 	}{
-		{"exact", false},
-		{"sketch", true},
+		{"fifo/exact", false, fifo},
+		{"fifo/sketch", true, fifo},
+		{"drr/exact", false, drr},
+		{"packetized-edf/exact", false, npEDF},
 	} {
-		short := tandemAllocs(t, 4096, tc.sketch)
-		long := tandemAllocs(t, 12288, tc.sketch)
+		short := tandemAllocs(t, 4096, tc.sketch, tc.mk)
+		long := tandemAllocs(t, 12288, tc.sketch, tc.mk)
 		if long > short+6 {
-			t.Errorf("%s sink: %g allocs at 4096 slots vs %g at 12288: %g allocs per extra slot, want 0",
+			t.Errorf("%s: %g allocs at 4096 slots vs %g at 12288: %g allocs per extra slot, want 0",
 				tc.name, short, long, (long-short)/8192)
 		}
 	}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"deltasched/internal/core"
-)
+import "deltasched/internal/core"
 
 // FIFO serves strictly in arrival order (simultaneous arrivals ordered by
 // flow id) — the ring-buffer specialization of the heap-backed Precedence
@@ -32,9 +28,8 @@ type FIFO struct {
 }
 
 var (
-	_ Scheduler   = (*FIFO)(nil)
-	_ SliceServer = (*FIFO)(nil)
-	_ HeadQueue   = (*FIFO)(nil)
+	_ Scheduler = (*FIFO)(nil)
+	_ HeadQueue = (*FIFO)(nil)
 )
 
 // NewFIFO serves strictly in arrival order; simultaneous arrivals are
@@ -69,32 +64,13 @@ func (p *FIFO) Enqueue(f core.FlowID, slot int, bits float64) {
 	p.backlog += bits
 }
 
-// ServeInto implements SliceServer. The loop body performs the exact
-// float operation sequence of Precedence.Serve on the head chunk, so
+// ServeInto implements Scheduler. The loop body performs the exact
+// float operation sequence of Precedence.ServeInto on the head chunk, so
 // served amounts and residual backlog are bit-identical to the heap FIFO.
 func (p *FIFO) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 && p.head < len(p.q) {
 		c := &p.q[p.head]
-		take := math.Min(budget, c.bits)
-		out[c.flow] += take
-		c.bits -= take
-		p.backlog -= take
-		budget -= take
-		if c.bits <= 1e-12 {
-			p.backlog += c.bits // absorb the fp residue
-			p.head++
-		}
-	}
-	if p.backlog < 0 {
-		p.backlog = 0
-	}
-}
-
-// Serve implements Scheduler (the map-output twin of ServeInto).
-func (p *FIFO) Serve(budget float64, out map[core.FlowID]float64) {
-	for budget > 1e-12 && p.head < len(p.q) {
-		c := &p.q[p.head]
-		take := math.Min(budget, c.bits)
+		take := min(budget, c.bits)
 		out[c.flow] += take
 		c.bits -= take
 		p.backlog -= take
@@ -141,7 +117,7 @@ func (p *FIFO) pushTail(c chunk) {
 // chunk (flow 0) before its cross chunk (flow 1), exactly where the
 // bubble pass would have sorted them; unserved residue joins the ring
 // with the same bits value the old code left in it. min is computed by
-// branch instead of math.Min — identical on the positive finite
+// branch instead of the builtin — identical on the positive finite
 // operands that reach it. The internal seq counter advances only for
 // chunks that actually enter the ring, which is unobservable: seq is
 // the chunkLess tie-breaker of last resort and a tandem node never

@@ -26,8 +26,6 @@ func TestFIFORingMatchesHeap(t *testing.T) {
 
 	outRing := make([]float64, flows)
 	outHeap := make([]float64, flows)
-	mapRing := make(map[core.FlowID]float64, flows)
-	mapHeap := make(map[core.FlowID]float64, flows)
 
 	slot := 0
 	for step := 0; step < steps; step++ {
@@ -46,26 +44,14 @@ func TestFIFORingMatchesHeap(t *testing.T) {
 		}
 
 		budget := rng.Float64() * 12
-		if step%2 == 0 {
-			for i := range outRing {
-				outRing[i], outHeap[i] = 0, 0
-			}
-			ring.ServeInto(budget, outRing)
-			heap.ServeInto(budget, outHeap)
-			for i := range outRing {
-				if outRing[i] != outHeap[i] {
-					t.Fatalf("step %d: ServeInto flow %d: ring %x, heap %x", step, i, outRing[i], outHeap[i])
-				}
-			}
-		} else {
-			clear(mapRing)
-			clear(mapHeap)
-			ring.Serve(budget, mapRing)
-			heap.Serve(budget, mapHeap)
-			for f := core.FlowID(0); f < flows; f++ {
-				if mapRing[f] != mapHeap[f] {
-					t.Fatalf("step %d: Serve flow %d: ring %x, heap %x", step, f, mapRing[f], mapHeap[f])
-				}
+		for i := range outRing {
+			outRing[i], outHeap[i] = 0, 0
+		}
+		ring.ServeInto(budget, outRing)
+		heap.ServeInto(budget, outHeap)
+		for i := range outRing {
+			if outRing[i] != outHeap[i] {
+				t.Fatalf("step %d: ServeInto flow %d: ring %x, heap %x", step, i, outRing[i], outHeap[i])
 			}
 		}
 

@@ -49,12 +49,13 @@ func (n *NonPreemptive) Enqueue(f core.FlowID, slot int, bits float64) {
 	n.inner.Enqueue(f, slot, bits)
 }
 
-// Serve implements Scheduler: finish the packet on the wire first, then
-// repeatedly commit whole packets picked by the inner precedence order.
-func (n *NonPreemptive) Serve(budget float64, out map[core.FlowID]float64) {
+// ServeInto implements Scheduler: finish the packet on the wire first,
+// then repeatedly commit whole packets picked by the inner precedence
+// order.
+func (n *NonPreemptive) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 {
 		if n.residBits > 1e-12 {
-			take := math.Min(budget, n.residBits)
+			take := min(budget, n.residBits)
 			out[n.residFlow] += take
 			n.residBits -= take
 			budget -= take
@@ -66,7 +67,7 @@ func (n *NonPreemptive) Serve(budget float64, out map[core.FlowID]float64) {
 		}
 		// Commit the head-of-line chunk's next packet, non-preemptively.
 		flow := c.flow
-		pkt := math.Min(n.packetSize, c.bits)
+		pkt := min(n.packetSize, c.bits)
 		c.bits -= pkt
 		n.inner.addBacklog(-pkt)
 		if c.bits <= 1e-12 {

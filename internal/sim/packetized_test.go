@@ -138,6 +138,9 @@ func TestDRRValidation(t *testing.T) {
 	if _, err := NewDRR(map[core.FlowID]float64{0: -1}); err == nil {
 		t.Error("negative quantum must be rejected")
 	}
+	if _, err := NewDRR(map[core.FlowID]float64{0: 1, -2: 1}); err == nil {
+		t.Error("negative flow id must be rejected: ids index the dense state")
+	}
 }
 
 func TestDRRFairSharing(t *testing.T) {
@@ -147,12 +150,11 @@ func TestDRRFairSharing(t *testing.T) {
 	}
 	d.Enqueue(0, 0, 1000)
 	d.Enqueue(1, 0, 1000)
-	total := map[core.FlowID]float64{}
+	var total [2]float64
 	for i := 0; i < 50; i++ {
 		out := serveAll(d, 8)
-		for f, v := range out {
-			total[f] += v
-		}
+		total[0] += out[0]
+		total[1] += out[1]
 	}
 	// Long-run shares follow the quanta 1:3.
 	if math.Abs(total[0]-100) > 10 || math.Abs(total[1]-300) > 10 {

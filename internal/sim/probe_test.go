@@ -218,8 +218,7 @@ func TestQueueLenAllSchedulers(t *testing.T) {
 		if q.QueueLen() == 0 {
 			t.Fatalf("%s: queue len must reflect enqueued chunks", name)
 		}
-		out := make(map[core.FlowID]float64)
-		s.Serve(1000, out)
+		s.ServeInto(1000, make([]float64, 2))
 		if q.QueueLen() != 0 {
 			t.Fatalf("%s: queue len = %d after draining serve", name, q.QueueLen())
 		}

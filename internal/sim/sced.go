@@ -96,11 +96,11 @@ func (s *SCED) Enqueue(f core.FlowID, slot int, bits float64) {
 	s.back += bits
 }
 
-// Serve implements Scheduler.
-func (s *SCED) Serve(budget float64, out map[core.FlowID]float64) {
+// ServeInto implements Scheduler.
+func (s *SCED) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 && s.q.Len() > 0 {
 		c := &s.q[0]
-		take := math.Min(budget, c.bits)
+		take := min(budget, c.bits)
 		out[c.flow] += take
 		c.bits -= take
 		s.back -= take

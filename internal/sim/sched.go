@@ -20,30 +20,21 @@ import (
 )
 
 // Scheduler is a per-node link scheduling discipline operating on fluid
-// chunks tagged with their flow and arrival slot.
+// chunks tagged with their flow and arrival slot. Flow ids are
+// non-negative: they index the serve output and, in DRR, the per-flow
+// state.
 type Scheduler interface {
 	Name() string
 	// Enqueue admits bits of flow f arriving at the given slot.
 	Enqueue(f core.FlowID, slot int, bits float64)
-	// Serve transmits up to budget bits in precedence order, accumulating
-	// the served amount per flow into out. Implementations must be
-	// work-conserving: they serve min(budget, backlog).
-	Serve(budget float64, out map[core.FlowID]float64)
+	// ServeInto transmits up to budget bits in precedence order, adding
+	// flow f's served bits to out[f]. Callers size out past every flow id
+	// the scheduler has been asked to enqueue (tandem nodes have exactly
+	// two) and zero it when they want one slot's amounts. Implementations
+	// must be work-conserving: they serve min(budget, backlog).
+	ServeInto(budget float64, out []float64)
 	// Backlog returns the total buffered bits.
 	Backlog() float64
-}
-
-// SliceServer is the dense-output serve path of the slot loop: ServeInto
-// is Serve with out[f] accumulating flow f's served bits, for flow ids
-// indexing into out. The serve order and the float operations are
-// identical to Serve — the two paths produce bit-identical simulations
-// (pinned by the tandem parity tests) — but the slice path avoids the
-// per-slot map clear and hashing, which dominated the serve cost of
-// Tandem.Run's inner loop. Callers must size out past every flow id the
-// scheduler has been asked to enqueue (tandem nodes have exactly two).
-type SliceServer interface {
-	Scheduler
-	ServeInto(budget float64, out []float64)
 }
 
 // HeadQueue is the contract NonPreemptive needs from its inner
@@ -222,32 +213,11 @@ func (p *Precedence) Enqueue(f core.FlowID, slot int, bits float64) {
 	p.backlog += bits
 }
 
-// Serve implements Scheduler.
-func (p *Precedence) Serve(budget float64, out map[core.FlowID]float64) {
-	for budget > 1e-12 && p.q.Len() > 0 {
-		c := &p.q[0]
-		take := math.Min(budget, c.bits)
-		out[c.flow] += take
-		c.bits -= take
-		p.backlog -= take
-		budget -= take
-		if c.bits <= 1e-12 {
-			p.backlog += c.bits // absorb the fp residue
-			p.q.popMin()
-		}
-	}
-	if p.backlog < 0 {
-		p.backlog = 0
-	}
-}
-
-// ServeInto implements SliceServer: the Serve loop with a dense output
-// slice. The float operation sequence is identical, so the served amounts
-// and the residual backlog match Serve bit for bit.
+// ServeInto implements Scheduler.
 func (p *Precedence) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 && p.q.Len() > 0 {
 		c := &p.q[0]
-		take := math.Min(budget, c.bits)
+		take := min(budget, c.bits)
 		out[c.flow] += take
 		c.bits -= take
 		p.backlog -= take
@@ -333,42 +303,6 @@ func (g *GPS) Enqueue(f core.FlowID, slot int, bits float64) {
 	g.backlog += bits
 }
 
-// Serve implements Scheduler: iterative water-filling — flows that empty
-// their queue mid-slot return their unused share to the others, preserving
-// work conservation.
-func (g *GPS) Serve(budget float64, out map[core.FlowID]float64) {
-	for budget > 1e-12 {
-		totalW := 0.0
-		for _, f := range g.order {
-			if g.flowBacklog(f) > 0 {
-				totalW += g.weight[f]
-			}
-		}
-		if totalW == 0 {
-			break
-		}
-		spent := 0.0
-		for _, f := range g.order {
-			bl := g.flowBacklog(f)
-			if bl <= 0 {
-				continue
-			}
-			share := budget * g.weight[f] / totalW
-			take := math.Min(share, bl)
-			g.drain(f, take)
-			out[f] += take
-			spent += take
-		}
-		if spent <= 1e-12 {
-			break
-		}
-		budget -= spent
-	}
-	if g.backlog < 0 {
-		g.backlog = 0
-	}
-}
-
 func (g *GPS) flowBacklog(f core.FlowID) float64 {
 	total := 0.0
 	for _, c := range g.queues[f] {
@@ -381,7 +315,7 @@ func (g *GPS) drain(f core.FlowID, amount float64) {
 	q := g.queues[f]
 	g.backlog -= amount
 	for i := range q {
-		take := math.Min(amount, q[i].bits)
+		take := min(amount, q[i].bits)
 		q[i].bits -= take
 		amount -= take
 		if amount <= 1e-15 {
@@ -398,8 +332,9 @@ func (g *GPS) drain(f core.FlowID, amount float64) {
 	g.queues[f] = keep
 }
 
-// ServeInto implements SliceServer: Serve's water-filling with a dense
-// output slice, bit-identical per-flow amounts.
+// ServeInto implements Scheduler: iterative water-filling — flows that
+// empty their queue mid-slot return their unused share to the others,
+// preserving work conservation.
 func (g *GPS) ServeInto(budget float64, out []float64) {
 	for budget > 1e-12 {
 		totalW := 0.0
@@ -418,7 +353,7 @@ func (g *GPS) ServeInto(budget float64, out []float64) {
 				continue
 			}
 			share := budget * g.weight[f] / totalW
-			take := math.Min(share, bl)
+			take := min(share, bl)
 			g.drain(f, take)
 			out[f] += take
 			spent += take

@@ -13,24 +13,27 @@ import (
 	"errors"
 	"fmt"
 
-	"deltasched/internal/core"
 	"deltasched/internal/measure"
 )
 
 // refSumServed reimplements the old probe helper removed with the block
-// engine: total bits served this slot, summed in map order. A tandem
-// node serves at most two flows, and two-element float addition is
-// commutative, so map-order summation is still deterministic here.
-func refSumServed(m map[core.FlowID]float64) float64 {
+// engine: total bits served this slot. The old loop summed a two-entry
+// map in map order; two-element float addition is commutative and an
+// absent entry adds the same as a zero one, so summing the dense pair
+// gives the same float.
+func refSumServed(out []float64) float64 {
 	total := 0.0
-	for _, b := range m {
+	for _, b := range out {
 		total += b
 	}
 	return total
 }
 
 // runTandemRef is the pre-block Tandem.Run, kept verbatim (modulo the
-// receiver spelling) as the parity oracle.
+// receiver spelling) as the parity oracle — except that it serves
+// through ServeInto into a dense two-flow pair, because the map-output
+// Serve it called no longer exists. The map was read only at the two
+// tandem flow ids, so the pair carries the same numbers.
 func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 	if t.C <= 0 && len(t.Cs) == 0 {
 		return nil, Stats{}, fmt.Errorf("sim: capacity must be positive, got %g", t.C)
@@ -91,7 +94,7 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 		stats Stats
 		cumA  float64
 		cumD  float64
-		out   = make(map[core.FlowID]float64, 2)
+		out   = make([]float64, 2)
 	)
 	if t.Sink != nil {
 		sink = t.Sink
@@ -118,7 +121,7 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 			t.nodes[i].Enqueue(CrossFlow, slot, x)
 		}
 		// Serve nodes in path order; through departures cascade within the
-		// slot. The output map is reused across nodes and slots; clear
+		// slot. The output pair is reused across nodes and slots; clear
 		// resets it without reallocating.
 		for i := 0; i < h; i++ {
 			clear(out)
@@ -126,7 +129,7 @@ func runTandemRef(t *Tandem, slots int) (*measure.DelayRecorder, Stats, error) {
 			if len(t.Cs) > 0 {
 				capa = t.Cs[i]
 			}
-			t.nodes[i].Serve(capa, out)
+			t.nodes[i].ServeInto(capa, out)
 			if probing {
 				observeNode(t.Probe, t.nodes[i], i, slot, refSumServed(out), capa)
 			}

@@ -436,3 +436,36 @@ func TestTandemCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSingleNodeRejectsNegativeFlowID: flow ids index the scheduler's
+// dense serve output, so a negative one is a configuration error, not an
+// index panic.
+func TestSingleNodeRejectsNegativeFlowID(t *testing.T) {
+	node := &SingleNode{C: 10, Sched: NewFIFO(), Sources: map[core.FlowID]traffic.Source{
+		0:  traffic.CBR{Rate: 1},
+		-1: traffic.CBR{Rate: 1},
+	}}
+	_, err := node.Run(10)
+	if !errors.Is(err, core.ErrBadConfig) {
+		t.Fatalf("negative flow id: got %v, want an error wrapping core.ErrBadConfig", err)
+	}
+}
+
+// TestSingleNodeSparseFlowIDs: the dense output is sized from the
+// largest flow id, so sparse ids are served and recorded per flow.
+func TestSingleNodeSparseFlowIDs(t *testing.T) {
+	node := &SingleNode{C: 10, Sched: NewFIFO(), Sources: map[core.FlowID]traffic.Source{
+		2: traffic.CBR{Rate: 1},
+		9: traffic.CBR{Rate: 3},
+	}}
+	recs, err := node.Run(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[2] == nil || recs[9] == nil {
+		t.Fatalf("recorders for flows %v, want 2 and 9", recs)
+	}
+	if r := recs[9].MeanRate(); r != 3 {
+		t.Fatalf("flow 9 mean rate %g, want 3", r)
+	}
+}
